@@ -285,6 +285,21 @@ impl Fnv {
         self.0 = h;
     }
 
+    /// Folds `bytes` into this hash and into `other` in one loop. The
+    /// two multiply chains are independent, so a superscalar core runs
+    /// both in about the time of one [`Self::update`] (FNV-1a is bound
+    /// by the multiply's latency, not by throughput).
+    pub(crate) fn update_both(&mut self, other: &mut Fnv, bytes: &[u8]) {
+        let (mut h, mut g) = (self.0, other.0);
+        for &b in bytes {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            g ^= b as u64;
+            g = g.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        (self.0, other.0) = (h, g);
+    }
+
     /// The current hash value.
     pub fn finish(&self) -> u64 {
         self.0
@@ -306,22 +321,76 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// Wraps `payload` in a checksummed container.
 pub fn encode_container(kind: u8, key_hash: u64, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len() + CHECKSUM_LEN);
+    frame_container(kind, key_hash, payload.len(), |out| out.extend_from_slice(payload))
+}
+
+/// The one container writer: the header, then the `payload_len` bytes
+/// `write_payload` appends, then the checksum, all in one buffer sized
+/// up front. A payload written in place (a trace pair's op bank) is
+/// never copied a second time.
+fn frame_container(
+    kind: u8,
+    key_hash: u64,
+    payload_len: usize,
+    write_payload: impl FnOnce(&mut Vec<u8>),
+) -> Vec<u8> {
+    let mut out = Vec::with_capacity(HEADER_LEN + payload_len + CHECKSUM_LEN);
     out.extend_from_slice(MAGIC);
     out.push(kind);
     out.push(VERSION);
     out.extend_from_slice(&key_hash.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(payload);
+    out.extend_from_slice(&(payload_len as u64).to_le_bytes());
+    write_payload(&mut out);
+    assert_eq!(out.len(), HEADER_LEN + payload_len, "payload differs from its declared length");
     let sum = fnv1a(&out);
     out.extend_from_slice(&sum.to_le_bytes());
     out
+}
+
+/// A container whose framing checks out (length, magic, kind, version)
+/// but whose checksum and key hash are not yet verified. Lets a reader
+/// fold the checksum into its own pass over the payload; see
+/// [`Frame::verify`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Frame<'a> {
+    /// The format version byte.
+    pub(crate) version: u8,
+    /// The checksummed bytes: header plus payload.
+    pub(crate) body: &'a [u8],
+    /// The payload.
+    pub(crate) payload: &'a [u8],
+    key: u64,
+    stored_sum: u64,
+}
+
+impl Frame<'_> {
+    /// Checks `body_sum` (FNV-1a of [`Frame::body`]) against the stored
+    /// checksum, then the key hash. Integrity comes first so a flipped
+    /// key bit reads as corruption, not as somebody else's (valid)
+    /// snapshot.
+    pub(crate) fn verify(&self, body_sum: u64, key_hash: u64) -> Result<(), SnapshotError> {
+        if body_sum != self.stored_sum {
+            return Err(SnapshotError::ChecksumMismatch);
+        }
+        if self.key != key_hash {
+            return Err(SnapshotError::KeyMismatch { found: self.key, expected: key_hash });
+        }
+        Ok(())
+    }
 }
 
 /// Verifies a container's framing and returns its payload slice. Both
 /// the current and the legacy format version are accepted — use
 /// [`container_version`] to learn which payload encoding applies.
 pub fn decode_container(bytes: &[u8], kind: u8, key_hash: u64) -> Result<&[u8], SnapshotError> {
+    let frame = parse_frame(bytes, kind)?;
+    frame.verify(fnv1a(frame.body), key_hash)?;
+    Ok(frame.payload)
+}
+
+/// Checks a container's framing — everything but the checksum and key
+/// hash, which [`Frame::verify`] checks.
+pub(crate) fn parse_frame(bytes: &[u8], kind: u8) -> Result<Frame<'_>, SnapshotError> {
     if bytes.len() < HEADER_LEN + CHECKSUM_LEN {
         return Err(SnapshotError::TooShort(bytes.len()));
     }
@@ -341,16 +410,13 @@ pub fn decode_container(bytes: &[u8], kind: u8, key_hash: u64) -> Result<&[u8], 
         return Err(SnapshotError::LengthMismatch { declared, present });
     }
     let body_end = bytes.len() - CHECKSUM_LEN;
-    let stored = u64::from_le_bytes(bytes[body_end..].try_into().expect("8 bytes"));
-    if fnv1a(&bytes[..body_end]) != stored {
-        return Err(SnapshotError::ChecksumMismatch);
-    }
-    // Key verified after integrity so a flipped key bit reads as
-    // corruption, not as somebody else's (valid) snapshot.
-    if found_key != key_hash {
-        return Err(SnapshotError::KeyMismatch { found: found_key, expected: key_hash });
-    }
-    Ok(&bytes[HEADER_LEN..body_end])
+    Ok(Frame {
+        version: bytes[7],
+        body: &bytes[..body_end],
+        payload: &bytes[HEADER_LEN..body_end],
+        key: found_key,
+        stored_sum: u64::from_le_bytes(bytes[body_end..].try_into().expect("8 bytes")),
+    })
 }
 
 /// The format version byte of a (framing-verified) container.
@@ -410,6 +476,17 @@ pub fn program_bytes(program: &TraceProgram) -> Vec<u8> {
 /// produced the view. This identity is what keeps report-cache keys and
 /// artifacts byte-identical across container versions.
 pub fn fingerprint_view(view: &ProgramView<'_>) -> u64 {
+    fingerprint_with(view, hash_ops)
+}
+
+/// [`fingerprint_view`] with the hashing of each epoch's op records
+/// delegated to `ops`, which must fold exactly the records' canonical
+/// bytes into the hasher it is given. The mapped open uses this to fold
+/// the container checksum and record validation into the same pass.
+pub(crate) fn fingerprint_with(
+    view: &ProgramView<'_>,
+    mut ops: impl FnMut(&mut Fnv, &[TraceOp]),
+) -> u64 {
     let mut f = Fnv::new();
     f.update(&(view.name.len() as u32).to_le_bytes());
     f.update(view.name.as_bytes());
@@ -418,13 +495,15 @@ pub fn fingerprint_view(view: &ProgramView<'_>) -> u64 {
         match region {
             RegionView::Sequential(e) => {
                 f.update(&[0]);
-                fingerprint_epoch(&mut f, e);
+                f.update(&(e.len() as u32).to_le_bytes());
+                ops(&mut f, e);
             }
             RegionView::Parallel(es) => {
                 f.update(&[1]);
                 f.update(&(es.len() as u32).to_le_bytes());
                 for e in es {
-                    fingerprint_epoch(&mut f, e);
+                    f.update(&(e.len() as u32).to_le_bytes());
+                    ops(&mut f, e);
                 }
             }
         }
@@ -432,8 +511,7 @@ pub fn fingerprint_view(view: &ProgramView<'_>) -> u64 {
     f.finish()
 }
 
-fn fingerprint_epoch(f: &mut Fnv, ops: &[TraceOp]) {
-    f.update(&(ops.len() as u32).to_le_bytes());
+fn hash_ops(f: &mut Fnv, ops: &[TraceOp]) {
     #[cfg(target_endian = "little")]
     {
         // In-memory layout == canonical wire layout (pinned by the
@@ -634,6 +712,45 @@ fn append_bank(out: &mut Vec<u8>, view: &ProgramView<'_>) {
     }
 }
 
+/// A version-2 pair payload laid out but not yet written: the structure
+/// section and bank geometry are known up front, so a container header
+/// can declare the payload's length before a record is copied.
+struct PairPayload<'v, 'a> {
+    plain: &'v ProgramView<'a>,
+    tls: &'v ProgramView<'a>,
+    structure: Vec<u8>,
+    bank_offset: usize,
+    total_ops: usize,
+}
+
+impl<'v, 'a> PairPayload<'v, 'a> {
+    fn new(plain: &'v ProgramView<'a>, tls: &'v ProgramView<'a>) -> Self {
+        let mut structure = Vec::new();
+        encode_structure(&mut structure, plain);
+        encode_structure(&mut structure, tls);
+        let bank_offset = bank_offset_for(16 + structure.len());
+        let total_ops = plain.total_ops() + tls.total_ops();
+        PairPayload { plain, tls, structure, bank_offset, total_ops }
+    }
+
+    fn len(&self) -> usize {
+        self.bank_offset + RECORD_LEN * self.total_ops
+    }
+
+    /// Appends exactly [`Self::len`] bytes to `out`.
+    fn write(&self, out: &mut Vec<u8>) {
+        let start = out.len();
+        out.extend_from_slice(&ENDIAN_STAMP.to_le_bytes());
+        out.extend_from_slice(&(RECORD_LEN as u16).to_le_bytes());
+        out.extend_from_slice(&(self.bank_offset as u32).to_le_bytes());
+        out.extend_from_slice(&(self.total_ops as u64).to_le_bytes());
+        out.extend_from_slice(&self.structure);
+        out.resize(start + self.bank_offset, 0);
+        append_bank(out, self.plain);
+        append_bank(out, self.tls);
+    }
+}
+
 /// Serializes a `(plain, tls)` pair as a version-2 (kind-1) payload.
 pub fn encode_pair(pair: &BenchmarkPrograms) -> Vec<u8> {
     encode_pair_views(&pair.plain.view(), &pair.tls.view())
@@ -642,20 +759,9 @@ pub fn encode_pair(pair: &BenchmarkPrograms) -> Vec<u8> {
 /// As [`encode_pair`], from borrowed views (the healing path for mapped
 /// snapshots needs no owned pair).
 pub fn encode_pair_views(plain: &ProgramView<'_>, tls: &ProgramView<'_>) -> Vec<u8> {
-    let mut structure = Vec::new();
-    encode_structure(&mut structure, plain);
-    encode_structure(&mut structure, tls);
-    let total_ops = plain.total_ops() + tls.total_ops();
-    let bank_offset = bank_offset_for(16 + structure.len());
-    let mut out = Vec::with_capacity(bank_offset + RECORD_LEN * total_ops);
-    out.extend_from_slice(&ENDIAN_STAMP.to_le_bytes());
-    out.extend_from_slice(&(RECORD_LEN as u16).to_le_bytes());
-    out.extend_from_slice(&(bank_offset as u32).to_le_bytes());
-    out.extend_from_slice(&(total_ops as u64).to_le_bytes());
-    out.extend_from_slice(&structure);
-    out.resize(bank_offset, 0);
-    append_bank(&mut out, plain);
-    append_bank(&mut out, tls);
+    let payload = PairPayload::new(plain, tls);
+    let mut out = Vec::with_capacity(payload.len());
+    payload.write(&mut out);
     out
 }
 
@@ -697,7 +803,7 @@ fn parse_structure(r: &mut Reader<'_>, cursor: &mut usize) -> Result<ProgramLayo
 /// stamp, record size, bank alignment and extent, padding, and the
 /// op-count identity. Does **not** validate individual records — the
 /// owned decoder validates while materializing, the map path validates
-/// once per map via [`validate_bank`].
+/// once per map in its integrity pass (see [`crate::mapped`]).
 pub fn parse_pair_layout(payload: &[u8]) -> Result<PairLayout, SnapshotError> {
     let mut r = Reader { bytes: payload, pos: 0 };
     let stamp = r.u16()?;
@@ -744,24 +850,6 @@ pub fn parse_pair_layout(payload: &[u8]) -> Result<PairLayout, SnapshotError> {
         return Err(SnapshotError::TrailingBytes(bank_len - need as usize));
     }
     Ok(PairLayout { plain, tls, bank_offset, total_ops: cursor })
-}
-
-/// Validates every record of a version-2 op bank — the once-per-map
-/// semantic pass that licenses serving records in place thereafter.
-/// Alignment-independent: uses the bulk zerocopy cast when the bytes are
-/// aligned, field-wise decoding otherwise.
-pub fn validate_bank(bank: &[u8]) -> Result<(), SnapshotError> {
-    #[cfg(target_endian = "little")]
-    if let Ok(ops) = zerocopy::slice_from_bytes::<TraceOp>(bank) {
-        for op in ops {
-            op.validate()?;
-        }
-        return Ok(());
-    }
-    for raw in bank.chunks_exact(RECORD_LEN) {
-        TraceOp::from_raw(raw.try_into().expect("16 bytes"))?;
-    }
-    Ok(())
 }
 
 /// Casts a (validated) op bank to records in place. Fails with a typed
@@ -864,9 +952,12 @@ pub fn decode_pair_v1(payload: &[u8]) -> Result<BenchmarkPrograms, SnapshotError
 // Whole-file forms.
 // ---------------------------------------------------------------------------
 
-/// Encodes a pair as a complete (version-2) container file image.
+/// Encodes a pair as a complete (version-2) container file image,
+/// writing the payload straight into the file buffer.
 pub fn encode_pair_file(key_hash: u64, pair: &BenchmarkPrograms) -> Vec<u8> {
-    encode_container(KIND_TRACE_PAIR, key_hash, &encode_pair(pair))
+    let (plain, tls) = (pair.plain.view(), pair.tls.view());
+    let payload = PairPayload::new(&plain, &tls);
+    frame_container(KIND_TRACE_PAIR, key_hash, payload.len(), |out| payload.write(out))
 }
 
 /// Decodes a container file image back into an owned pair, verifying
@@ -959,7 +1050,7 @@ mod tests {
         let layout = parse_pair_layout(payload).expect("layout");
         assert_eq!((HEADER_LEN + layout.bank_offset) % BANK_ALIGN, 0);
         assert_eq!(layout.total_ops, pair.plain.total_ops() + pair.tls.total_ops());
-        validate_bank(layout.bank(payload)).expect("records valid");
+        decode_pair(payload).expect("records valid");
         assert_eq!(layout.plain.name, "plain");
         assert_eq!(layout.tls.name, "tls");
     }
@@ -1056,6 +1147,25 @@ mod tests {
             decode_pair_file(&report, 7),
             Err(SnapshotError::KindMismatch { found: KIND_SIM_REPORT, expected: KIND_TRACE_PAIR })
         ));
+    }
+
+    #[test]
+    fn single_buffer_file_equals_framed_payload() {
+        // The file writer lays the payload straight into the container
+        // buffer; the bytes are those of framing a separate payload.
+        let pair = sample_pair();
+        let file = encode_pair_file(0xABCD, &pair);
+        assert_eq!(file, encode_container(KIND_TRACE_PAIR, 0xABCD, &encode_pair(&pair)));
+    }
+
+    #[test]
+    fn update_both_equals_two_updates() {
+        let (mut a, mut b) = (Fnv::new(), Fnv::new());
+        b.update(b"prefix");
+        a.update_both(&mut b, b"shared bytes");
+        let mut c = Fnv::new();
+        c.update(b"prefixshared bytes");
+        assert_eq!((a.finish(), b.finish()), (fnv1a(b"shared bytes"), c.finish()));
     }
 
     #[test]

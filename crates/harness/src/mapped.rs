@@ -11,10 +11,11 @@
 //!
 //! 1. [`Mapping`] — a read-only `mmap(2)` of the snapshot file (with an
 //!    aligned heap fallback for non-unix hosts), `munmap`ed on drop.
-//! 2. [`TraceView::open`] — verifies the container framing + checksum
-//!    and validates every record **once per map**, then hands out
-//!    borrowed [`ProgramView`]s for the pair; no op bytes are ever
-//!    copied after that single integrity pass.
+//! 2. [`TraceView::open`] — verifies the container framing, then makes
+//!    **one** integrity pass over the bank that computes the container
+//!    checksum, validates every record and computes both program
+//!    fingerprints, then hands out borrowed [`ProgramView`]s for the
+//!    pair; no op bytes are ever copied.
 //!
 //! Outcomes a caller must handle (see [`MapOutcome`]): a legacy
 //! version-1 container decodes by the owned path (the store transparently
@@ -43,15 +44,12 @@
 //! means snapshot files are never modified in place anyway.
 
 use crate::codec::{
-    self, cast_bank, fingerprint_view, parse_pair_layout, validate_bank, PairLayout, SnapshotError,
-    KIND_TRACE_PAIR, LEGACY_VERSION,
+    self, cast_bank, fingerprint_with, fnv1a, parse_frame, parse_pair_layout, Fnv, PairLayout,
+    SnapshotError, CHECKSUM_LEN, HEADER_LEN, KIND_TRACE_PAIR, LEGACY_VERSION,
 };
 use std::path::Path;
 use tls_core::experiment::BenchmarkPrograms;
-use tls_trace::{ProgramView, TraceOp};
-
-const HEADER_LEN: usize = 24;
-const CHECKSUM_LEN: usize = 8;
+use tls_trace::{ProgramView, RawOpError, TraceOp};
 
 // ---------------------------------------------------------------------------
 // Mapping: read-only bytes, page-aligned, unmapped on drop.
@@ -184,12 +182,11 @@ impl Mapping {
 
 /// A trace pair served in place from a mapped version-2 snapshot.
 ///
-/// Construction performs the *single* integrity pass — container
-/// framing, checksum, layout validation, and per-record validation — so
-/// the `view()` accessors afterwards are pure pointer arithmetic. Both
-/// content fingerprints are computed here too (streamed over the mapped
-/// bank, no allocation), because every consumer of a program needs its
-/// fingerprint for report-cache keys.
+/// Construction checks the container framing and layout, then makes a
+/// *single* pass over the bank that folds in the container checksum,
+/// per-record validation and both content fingerprints (every consumer
+/// of a program needs its fingerprint for report-cache keys), so the
+/// `view()` accessors afterwards are pure pointer arithmetic.
 #[derive(Debug)]
 pub struct TraceView {
     map: Mapping,
@@ -253,56 +250,94 @@ impl TraceView {
 
     /// Opens, verifies and maps the snapshot at `path` for `key_hash`.
     pub fn open(path: &Path, key_hash: u64) -> MapOutcome {
-        let map = match Mapping::open(path) {
-            Ok(m) => m,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return MapOutcome::Missing,
-            Err(e) => return MapOutcome::Io(e.to_string()),
-        };
+        match Mapping::open(path) {
+            Ok(map) => Self::verify(map, key_hash).unwrap_or_else(MapOutcome::Bad),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => MapOutcome::Missing,
+            Err(e) => MapOutcome::Io(e.to_string()),
+        }
+    }
+
+    /// Verifies `map` as a trace-pair snapshot. Errors keep the owned
+    /// decoder's precedence — framing, checksum, key, layout, records —
+    /// although the checksum is computed last, inside the bank pass.
+    fn verify(map: Mapping, key_hash: u64) -> Result<MapOutcome, SnapshotError> {
         let bytes = map.bytes();
-        let payload = match codec::decode_container(bytes, KIND_TRACE_PAIR, key_hash) {
-            Ok(p) => p,
-            Err(e) => return MapOutcome::Bad(e),
-        };
-        if codec::container_version(bytes) == LEGACY_VERSION {
+        let frame = parse_frame(bytes, KIND_TRACE_PAIR)?;
+        if frame.version == LEGACY_VERSION {
             // Inline-record format: no bank to map. Decode owned; the
             // store rewrites it as version 2 so the next open maps.
-            return match codec::decode_pair_v1(payload) {
-                Ok(pair) => MapOutcome::Legacy(Box::new(pair)),
-                Err(e) => MapOutcome::Bad(e),
-            };
+            frame.verify(fnv1a(frame.body), key_hash)?;
+            return Ok(MapOutcome::Legacy(Box::new(codec::decode_pair_v1(frame.payload)?)));
         }
-        let layout = match parse_pair_layout(payload) {
-            Ok(l) => l,
-            Err(e) => return MapOutcome::Bad(e),
-        };
         if cfg!(not(target_endian = "little")) {
             // Records are stored little-endian; this host cannot serve
             // them in place. Decode owned (endian-correct) instead.
-            return match codec::decode_pair(payload) {
-                Ok(pair) => MapOutcome::Unsupported(Box::new(pair)),
-                Err(e) => MapOutcome::Bad(e),
-            };
+            frame.verify(fnv1a(frame.body), key_hash)?;
+            return Ok(MapOutcome::Unsupported(Box::new(codec::decode_pair(frame.payload)?)));
         }
-        let bank_at = HEADER_LEN + layout.bank_offset;
-        let bank_bytes = &bytes[bank_at..bytes.len() - CHECKSUM_LEN];
-        if let Err(e) = validate_bank(bank_bytes) {
-            return MapOutcome::Bad(e);
-        }
-        if let Err(e) = cast_bank(bank_bytes) {
+        let mapped = parse_pair_layout(frame.payload).and_then(|layout| {
+            let bank_at = HEADER_LEN + layout.bank_offset;
             // Unreachable for a real mmap (page-aligned) or the aligned
             // heap fallback; kept as a typed rejection, not an assert.
-            return MapOutcome::Bad(e);
+            let bank = cast_bank(&bytes[bank_at..bytes.len() - CHECKSUM_LEN])?;
+            Ok((layout, bank_at, bank))
+        });
+        let (layout, bank_at, bank) = match mapped {
+            Ok(m) => m,
+            Err(e) => {
+                // The layout was read from unverified bytes: corruption
+                // must still report as a checksum failure.
+                frame.verify(fnv1a(frame.body), key_hash)?;
+                return Err(e);
+            }
+        };
+        let pass = BankPass::run(&bytes[..bank_at], &layout, bank);
+        frame.verify(pass.checksum, key_hash)?;
+        if let Some(e) = pass.bad_op {
+            return Err(e.into());
         }
-        // cast_bank above checked the slice ending before the checksum;
-        // rebuild the view's notion of the bank to exclude it.
-        let view = TraceView { map, layout, bank_at, plain_fingerprint: 0, tls_fingerprint: 0 };
-        let plain_fp = fingerprint_view(&view.plain());
-        let tls_fp = fingerprint_view(&view.tls());
-        MapOutcome::Mapped(Box::new(TraceView {
-            plain_fingerprint: plain_fp,
-            tls_fingerprint: tls_fp,
-            ..view
-        }))
+        Ok(MapOutcome::Mapped(Box::new(TraceView {
+            map,
+            layout,
+            bank_at,
+            plain_fingerprint: pass.plain_fingerprint,
+            tls_fingerprint: pass.tls_fingerprint,
+        })))
+    }
+}
+
+/// The results of the one integrity pass over a mapped bank.
+struct BankPass {
+    /// FNV-1a of the container body (header, structure and bank).
+    checksum: u64,
+    plain_fingerprint: u64,
+    tls_fingerprint: u64,
+    /// The first record that failed validation, if any.
+    bad_op: Option<RawOpError>,
+}
+
+impl BankPass {
+    /// Walks both programs' epochs in bank order (plain, then TLS,
+    /// left to right, which is how the bank is laid out). Each record is
+    /// validated and its bytes are folded into the container checksum
+    /// and its program's fingerprint in the same loop; `prefix` is the
+    /// container body before the bank.
+    fn run(prefix: &[u8], layout: &PairLayout, bank: &[TraceOp]) -> BankPass {
+        let mut checksum = Fnv::new();
+        checksum.update(prefix);
+        let mut bad_op = None;
+        let mut fold = |fingerprint: &mut Fnv, ops: &[TraceOp]| {
+            let raw = zerocopy::slice_as_bytes(ops);
+            for (op, bytes) in ops.iter().zip(raw.chunks_exact(std::mem::size_of::<TraceOp>())) {
+                if let Err(e) = op.validate() {
+                    bad_op.get_or_insert(e);
+                }
+                checksum.update_both(fingerprint, bytes);
+            }
+        };
+        let plain_fingerprint = fingerprint_with(&layout.plain.view(bank), &mut fold);
+        let tls_fingerprint = fingerprint_with(&layout.tls.view(bank), &mut fold);
+        BankPass { checksum: checksum.finish(), plain_fingerprint, tls_fingerprint, bad_op }
     }
 }
 
@@ -329,6 +364,7 @@ pub enum MapOutcome {
 mod tests {
     use super::*;
     use crate::codec::{encode_pair_file, fnv1a, program_bytes};
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use tls_trace::{Addr, OpSink, Pc, ProgramBuilder};
 
     fn sample_pair() -> BenchmarkPrograms {
@@ -355,8 +391,11 @@ mod tests {
         path
     }
 
+    /// A fresh directory no other call in this process shares.
     fn tmpdir(tag: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("tls-mapped-{tag}-{}", std::process::id()));
+        static CALLS: AtomicUsize = AtomicUsize::new(0);
+        let n = CALLS.fetch_add(1, Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("tls-mapped-{tag}-{}-{n}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir

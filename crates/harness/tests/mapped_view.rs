@@ -6,6 +6,7 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use tls_core::experiment::BenchmarkPrograms;
 use tls_harness::codec::{
     self, encode_pair_file, fingerprint_view, fnv1a, program_bytes, CHECKSUM_LEN, HEADER_LEN,
@@ -15,6 +16,16 @@ use tls_trace::{Addr, LatchId, OpSink, Pc, ProgramBuilder, TraceOp, TraceProgram
 
 /// A generated op: `(class, module, site, arg, addr, dep)`.
 type OpDesc = (u8, u16, u16, u8, u64, u16);
+
+fn op_desc() -> impl Strategy<Value = OpDesc> {
+    (any::<u8>(), any::<u16>(), any::<u16>(), any::<u8>(), any::<u64>(), any::<u16>())
+}
+
+/// Op lists that are empty a quarter of the time: empty epochs, and
+/// programs with no ops (no regions) at all.
+fn ops_or_empty(max: usize) -> impl Strategy<Value = Vec<OpDesc>> {
+    prop_oneof![1 => Just(Vec::new()), 3 => vec(op_desc(), 1..max)]
+}
 
 fn op(d: OpDesc) -> TraceOp {
     let (class, module, site, arg, addr, dep) = d;
@@ -32,6 +43,15 @@ fn op(d: OpDesc) -> TraceOp {
 }
 
 fn program(name: &str, prefix: &[OpDesc], epochs: &[Vec<OpDesc>]) -> TraceProgram {
+    program_with_suffix(name, prefix, epochs, &[])
+}
+
+fn program_with_suffix(
+    name: &str,
+    prefix: &[OpDesc],
+    epochs: &[Vec<OpDesc>],
+    suffix: &[OpDesc],
+) -> TraceProgram {
     let mut b = ProgramBuilder::new(name);
     for &d in prefix {
         b.emit(op(d));
@@ -47,11 +67,18 @@ fn program(name: &str, prefix: &[OpDesc], epochs: &[Vec<OpDesc>]) -> TraceProgra
         }
         b.end_parallel();
     }
+    for &d in suffix {
+        b.emit(op(d));
+    }
     b.finish()
 }
 
+/// A temp path no other call in this process shares, even when tests
+/// with the same tag run in parallel.
 fn temp_file(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("tls-mapped-{tag}-{}.trace", std::process::id()))
+    static CALLS: AtomicUsize = AtomicUsize::new(0);
+    let n = CALLS.fetch_add(1, Ordering::Relaxed);
+    std::env::temp_dir().join(format!("tls-mapped-{tag}-{}-{n}.trace", std::process::id()))
 }
 
 /// Writes `bytes` under `tag` and opens the file as a mapped view.
@@ -77,15 +104,20 @@ proptest! {
 
     /// The mapped view and the owned decode of the same snapshot agree
     /// on every observable: canonical bytes, fingerprints, op counts.
+    /// Empty epochs and empty programs are generated on purpose: the
+    /// open's single bank pass must frame them exactly as the canonical
+    /// byte stream does.
     #[test]
     fn mapped_view_equals_owned_decode(
-        prefix in vec((any::<u8>(), any::<u16>(), any::<u16>(), any::<u8>(), any::<u64>(), any::<u16>()), 0..10),
-        epochs in vec(vec((any::<u8>(), any::<u16>(), any::<u16>(), any::<u8>(), any::<u64>(), any::<u16>()), 0..12), 0..4),
+        plain in ops_or_empty(10),
+        prefix in ops_or_empty(10),
+        epochs in vec(ops_or_empty(12), 0..5),
+        suffix in ops_or_empty(6),
         key in any::<u64>(),
     ) {
         let pair = BenchmarkPrograms {
-            plain: program("plain-prog", &prefix, &[]),
-            tls: program("tls-prog", &prefix, &epochs),
+            plain: program("plain-prog", &plain, &[]),
+            tls: program_with_suffix("tls-prog", &prefix, &epochs, &suffix),
         };
         let bytes = encode_pair_file(key, &pair);
         let owned = codec::decode_pair_file(&bytes, key).expect("owned decode");
@@ -103,6 +135,7 @@ proptest! {
         prop_assert_eq!(view.plain_fingerprint, fnv1a(&program_bytes(&owned.plain)));
         prop_assert_eq!(view.tls_fingerprint, fnv1a(&program_bytes(&owned.tls)));
         prop_assert_eq!(view.plain_fingerprint, fingerprint_view(&view.plain()));
+        prop_assert_eq!(view.tls_fingerprint, fingerprint_view(&view.tls()));
     }
 
     /// Every byte-boundary truncation is rejected by the mapped opener —
@@ -184,5 +217,41 @@ fn declared_op_count_must_match_the_structure() {
             e.code()
         ),
         other => panic!("op-count-tampered snapshot produced {other:?}"),
+    }
+}
+
+#[test]
+fn structure_and_bank_corruption_reports_the_checksum_first() {
+    let pair = BenchmarkPrograms {
+        plain: program("p", &[(0, 1, 1, 1, 0, 0)], &[]),
+        tls: program("t", &[(4, 1, 3, 1, 0, 0)], &[vec![(2, 1, 2, 1, 64, 0)], vec![]]),
+    };
+    let good = encode_pair_file(17, &pair);
+    let bank_offset = u32::from_le_bytes(good[HEADER_LEN + 4..HEADER_LEN + 8].try_into().unwrap());
+    let bank_at = HEADER_LEN + bank_offset as usize;
+    // The first record's class byte: 0xFF is no op class, so the bank
+    // byte alone would fail record validation.
+    let bank_byte = bank_at + 4;
+    // Every structure byte: some flips still parse (a name byte) and
+    // reach the bank pass, others break the layout parse (a region
+    // tag, an epoch count). Either way the checksum error comes first.
+    for structure_byte in HEADER_LEN + 16..bank_at {
+        let mut bad = good.clone();
+        bad[structure_byte] ^= 0x5A;
+        bad[bank_byte] = 0xFF;
+        match open_bytes("corrupt", &bad, 17) {
+            MapOutcome::Bad(e) => {
+                assert_eq!(e.code(), "checksum-mismatch", "structure byte {structure_byte}: {e}")
+            }
+            other => panic!("structure byte {structure_byte} produced {other:?}"),
+        }
+    }
+    // Resealed, the same bank byte is reported as the bad record it is.
+    let mut bad = good.clone();
+    bad[bank_byte] = 0xFF;
+    reseal(&mut bad);
+    match open_bytes("badop", &bad, 17) {
+        MapOutcome::Bad(e) => assert_eq!(e.code(), "bad-op", "{e}"),
+        other => panic!("resealed bad record produced {other:?}"),
     }
 }

@@ -4,6 +4,11 @@
 //! both performs the real operation on [`SimMemory`] *and* emits the
 //! corresponding [`TraceOp`]s. The database engine is written exclusively
 //! against `Env`, so the recorded trace is exactly what the engine did.
+//!
+//! With the recorder off (the initial database load) the accessors build
+//! no ops at all: the memory effect is the same code path either way, and
+//! an off recorder would discard every op, so skipping construction
+//! changes no byte of the image or of any later recording.
 
 use crate::pager::Pager;
 use crate::SimMemory;
@@ -250,37 +255,49 @@ impl Env {
 
     /// A recorded u64 load whose value feeds subsequent work.
     pub fn load_u64(&mut self, pc: Pc, addr: Addr) -> u64 {
-        self.rec.emit(TraceOp::load(pc, addr, 8));
+        if self.rec.recording() {
+            self.rec.emit(TraceOp::load(pc, addr, 8));
+        }
         self.mem.peek_u64(addr)
     }
 
     /// A recorded u64 store.
     pub fn store_u64(&mut self, pc: Pc, addr: Addr, v: u64) {
-        self.rec.emit(TraceOp::store(pc, addr, 8));
+        if self.rec.recording() {
+            self.rec.emit(TraceOp::store(pc, addr, 8));
+        }
         self.mem.poke_u64(addr, v);
     }
 
     /// A recorded u32 load.
     pub fn load_u32(&mut self, pc: Pc, addr: Addr) -> u32 {
-        self.rec.emit(TraceOp::load(pc, addr, 4));
+        if self.rec.recording() {
+            self.rec.emit(TraceOp::load(pc, addr, 4));
+        }
         self.mem.peek_u32(addr)
     }
 
     /// A recorded u32 store.
     pub fn store_u32(&mut self, pc: Pc, addr: Addr, v: u32) {
-        self.rec.emit(TraceOp::store(pc, addr, 4));
+        if self.rec.recording() {
+            self.rec.emit(TraceOp::store(pc, addr, 4));
+        }
         self.mem.poke_u32(addr, v);
     }
 
     /// A recorded u16 load.
     pub fn load_u16(&mut self, pc: Pc, addr: Addr) -> u16 {
-        self.rec.emit(TraceOp::load(pc, addr, 2));
+        if self.rec.recording() {
+            self.rec.emit(TraceOp::load(pc, addr, 2));
+        }
         self.mem.peek_u16(addr)
     }
 
     /// A recorded u16 store.
     pub fn store_u16(&mut self, pc: Pc, addr: Addr, v: u16) {
-        self.rec.emit(TraceOp::store(pc, addr, 2));
+        if self.rec.recording() {
+            self.rec.emit(TraceOp::store(pc, addr, 2));
+        }
         self.mem.poke_u16(addr, v);
     }
 
@@ -288,36 +305,41 @@ impl Env {
     /// load/store pairs plus loop control, like a `memcpy`. Handles
     /// overlapping ranges like `memmove`.
     pub fn copy(&mut self, pc: Pc, dst: Addr, src: Addr, len: u64) {
-        let mut off = 0;
-        while off < len {
-            let chunk = (len - off).min(8) as u8;
-            self.rec.emit(TraceOp::load(pc, src.offset(off), chunk));
-            self.rec.emit(TraceOp::store(pc, dst.offset(off), chunk).with_dep(1));
-            off += chunk as u64;
+        if self.rec.recording() {
+            let mut off = 0;
+            while off < len {
+                let chunk = (len - off).min(8) as u8;
+                self.rec.emit(TraceOp::load(pc, src.offset(off), chunk));
+                self.rec.emit(TraceOp::store(pc, dst.offset(off), chunk).with_dep(1));
+                off += chunk as u64;
+            }
+            self.rec.emit(TraceOp::branch(pc, false));
         }
-        self.rec.emit(TraceOp::branch(pc, false));
-        let data = self.mem.bytes(src, len as usize).to_vec();
-        self.mem.write_bytes(dst, &data);
+        self.mem.copy_within(src, dst, len as usize);
     }
 
     /// Recorded read of `len` bytes into a caller buffer.
     pub fn read_into(&mut self, pc: Pc, src: Addr, buf: &mut [u8]) {
-        let mut off = 0usize;
-        while off < buf.len() {
-            let chunk = (buf.len() - off).min(8) as u8;
-            self.rec.emit(TraceOp::load(pc, src.offset(off as u64), chunk));
-            off += chunk as usize;
+        if self.rec.recording() {
+            let mut off = 0usize;
+            while off < buf.len() {
+                let chunk = (buf.len() - off).min(8) as u8;
+                self.rec.emit(TraceOp::load(pc, src.offset(off as u64), chunk));
+                off += chunk as usize;
+            }
         }
         buf.copy_from_slice(self.mem.bytes(src, buf.len()));
     }
 
     /// Recorded write of a caller buffer to simulated memory.
     pub fn write_from(&mut self, pc: Pc, dst: Addr, buf: &[u8]) {
-        let mut off = 0usize;
-        while off < buf.len() {
-            let chunk = (buf.len() - off).min(8) as u8;
-            self.rec.emit(TraceOp::store(pc, dst.offset(off as u64), chunk));
-            off += chunk as usize;
+        if self.rec.recording() {
+            let mut off = 0usize;
+            while off < buf.len() {
+                let chunk = (buf.len() - off).min(8) as u8;
+                self.rec.emit(TraceOp::store(pc, dst.offset(off as u64), chunk));
+                off += chunk as usize;
+            }
         }
         self.mem.write_bytes(dst, buf);
     }
@@ -325,6 +347,9 @@ impl Env {
     /// Recorded fill of `len` bytes (stores only — used for log payloads,
     /// whose content the simulator never inspects).
     pub fn fill(&mut self, pc: Pc, dst: Addr, len: u64) {
+        if !self.rec.recording() {
+            return;
+        }
         let mut off = 0;
         while off < len {
             let chunk = (len - off).min(8) as u8;
@@ -335,6 +360,9 @@ impl Env {
 
     /// Emits `n` integer ALU ops (computation between memory accesses).
     pub fn alu(&mut self, pc: Pc, n: usize) {
+        if !self.rec.recording() {
+            return;
+        }
         for _ in 0..n {
             self.rec.emit(TraceOp::int_alu(pc, latency::INT));
         }
@@ -343,18 +371,25 @@ impl Env {
     /// Emits a compare-and-branch with the given outcome; the compare
     /// depends on the most recent op (typically the key load).
     pub fn cmp_branch(&mut self, pc: Pc, taken: bool) {
+        if !self.rec.recording() {
+            return;
+        }
         self.rec.emit(TraceOp::int_alu(pc, latency::INT).with_dep(1));
         self.rec.emit(TraceOp::branch(pc, taken).with_dep(1));
     }
 
     /// Emits a latch acquire.
     pub fn latch_acquire(&mut self, pc: Pc, latch: LatchId) {
-        self.rec.emit(TraceOp::latch_acquire(pc, latch));
+        if self.rec.recording() {
+            self.rec.emit(TraceOp::latch_acquire(pc, latch));
+        }
     }
 
     /// Emits a latch release.
     pub fn latch_release(&mut self, pc: Pc, latch: LatchId) {
-        self.rec.emit(TraceOp::latch_release(pc, latch));
+        if self.rec.recording() {
+            self.rec.emit(TraceOp::latch_release(pc, latch));
+        }
     }
 
     /// Emits `n` "DBMS overhead" instruction groups, modeling the code a
@@ -366,6 +401,9 @@ impl Env {
     /// thread-private memory so the overhead perturbs timing without
     /// creating cross-thread dependences.
     pub fn overhead(&mut self, pc: Pc, scratch: Addr, n: usize) {
+        if !self.rec.recording() {
+            return;
+        }
         for i in 0..n {
             let a = scratch.offset(((i % 32) * 8) as u64);
             self.rec.emit(TraceOp::load(pc, a, 8));

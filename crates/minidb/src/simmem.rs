@@ -57,8 +57,8 @@ impl SimMemory {
         self.ensure(self.brk);
     }
 
-    /// Diagnosable bounds check shared by [`Self::bytes`] and
-    /// [`Self::write_bytes`]: chaos failures (a faulted pointer chased
+    /// Diagnosable bounds check shared by [`Self::bytes`],
+    /// [`Self::write_bytes`] and [`Self::copy_within`]: chaos failures (a faulted pointer chased
     /// off a corrupt page) must name the access, not die in a bare
     /// slice index.
     #[track_caller]
@@ -103,6 +103,21 @@ impl SimMemory {
         self.check_range("write", addr, src.len());
         let start = addr.0 as usize;
         self.data[start..start + src.len()].copy_from_slice(src);
+    }
+
+    /// Copies `len` bytes from `src` to `dst` in place; the ranges may
+    /// overlap (`memmove` semantics).
+    ///
+    /// # Panics
+    ///
+    /// Panics if either range is out of bounds, naming the access (the
+    /// source is checked first, as a read).
+    #[track_caller]
+    pub fn copy_within(&mut self, src: Addr, dst: Addr, len: usize) {
+        self.check_range("read", src, len);
+        self.check_range("write", dst, len);
+        let start = src.0 as usize;
+        self.data.copy_within(start..start + len, dst.0 as usize);
     }
 
     /// Reads a little-endian u64.
@@ -218,6 +233,40 @@ mod tests {
         let msg = err.downcast_ref::<String>().expect("string payload");
         assert!(msg.contains("allocated 0x40..0xa4"), "{msg}");
         assert!(msg.contains("100 bytes"), "{msg}");
+    }
+
+    #[test]
+    fn copy_within_moves_forward_over_an_overlap() {
+        let mut m = SimMemory::new();
+        let a = m.alloc(16, 8);
+        m.write_bytes(a, b"abcdefghijklmnop");
+        m.copy_within(a, a.offset(3), 10);
+        assert_eq!(m.bytes(a, 16), b"abcabcdefghijnop");
+    }
+
+    #[test]
+    fn copy_within_moves_backward_over_an_overlap() {
+        let mut m = SimMemory::new();
+        let a = m.alloc(16, 8);
+        m.write_bytes(a, b"abcdefghijklmnop");
+        m.copy_within(a.offset(3), a, 10);
+        assert_eq!(m.bytes(a, 16), b"defghijklmklmnop");
+    }
+
+    #[test]
+    #[should_panic(expected = "read out of range")]
+    fn copy_within_rejects_an_out_of_range_source() {
+        let mut m = SimMemory::new();
+        let a = m.alloc(16, 8);
+        m.copy_within(a.offset(8), a, 16);
+    }
+
+    #[test]
+    #[should_panic(expected = "write out of range")]
+    fn copy_within_rejects_an_out_of_range_destination() {
+        let mut m = SimMemory::new();
+        let a = m.alloc(16, 8);
+        m.copy_within(a, a.offset(8), 16);
     }
 
     #[test]
