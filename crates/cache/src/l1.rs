@@ -200,12 +200,10 @@ impl L1Data {
         dropped
     }
 
-    /// Epoch commit: the speculative marks become ordinary data.
+    /// Epoch commit: the speculative marks become ordinary data. Visits
+    /// the resident lines in place; residency and LRU order are kept.
     pub fn clear_speculative_marks(&mut self) {
-        self.lines.retain(|_, state| {
-            *state = L1Line::default();
-            true
-        });
+        self.lines.for_each_mut(|_, state| *state = L1Line::default());
     }
 
     /// Access counters.
@@ -268,6 +266,33 @@ mod tests {
         c.clear_speculative_marks();
         assert_eq!(c.invalidate_speculative(), 0);
         assert!(c.read(Addr(0x40), false).hit);
+    }
+
+    #[test]
+    fn commit_clears_every_mark_in_place() {
+        let mut c = l1();
+        let stride = 256 * 32; // one set
+        let line = |i: u64| Addr(0x40 + i * stride);
+        for i in 0..4 {
+            c.fill(line(i), true);
+        }
+        c.write(line(1), true);
+        c.write(line(3), true);
+        c.fill(Addr(0x80), true); // another set
+        assert!(c.read(line(0), true).hit); // the write and read hits leave LRU order 2, 1, 3, 0
+        c.clear_speculative_marks();
+        assert_eq!(c.resident_lines(), 5);
+        // No modified mark survives, and the recency order is untouched:
+        // the next fill of the set displaces line 2, not line 0.
+        c.fill(line(4), false);
+        assert_eq!(c.stats().evictions, 1);
+        assert!(!c.read(line(2), false).hit);
+        assert_eq!(c.invalidate_speculative(), 0);
+        // Every loaded mark is gone: each resident line is a new touch.
+        for addr in [line(0), line(1), line(3), line(4), Addr(0x80)] {
+            let r = c.read(addr, true);
+            assert!(r.hit && r.newly_spec_loaded, "{addr:?}");
+        }
     }
 
     #[test]

@@ -8,9 +8,10 @@
 //! ways of each associative set".
 
 use std::fmt::Debug;
+use std::ops::Range;
 
 /// One resident entry: key, payload, and recency stamp.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct Entry<K, V> {
     key: K,
     value: V,
@@ -34,27 +35,62 @@ pub enum Inserted<K, V> {
 ///
 /// Not a timing model: time enters only through the monotonically
 /// increasing use counter used for LRU ordering.
+///
+/// Storage is one flat slot array. A set gets a block of `ways` slots on
+/// its first insert; its resident entries are the first `fill[set]` slots
+/// of that block, in the order a per-set `Vec` would hold them, and the
+/// rest hold `Default` placeholders. Every per-set array starts all-zero,
+/// so building and dropping an array costs a few zeroed allocations
+/// however many sets it has, and whole-array visits walk only the sets
+/// that were ever filled (in set order, via the `allocated` bitmap).
 #[derive(Debug, Clone)]
 pub struct SetAssoc<K, V> {
-    sets: Vec<Vec<Entry<K, V>>>,
+    /// Blocks of `ways` slots, in the order their sets were first filled.
+    slots: Vec<Entry<K, V>>,
+    /// Per set: index of its block in `slots` (0 until `allocated`, which
+    /// with a zero `fill` still names an empty range).
+    block: Vec<u32>,
+    /// Per set: resident entries, at the front of its block.
+    fill: Vec<u32>,
+    /// One bit per set: the set owns a block.
+    allocated: Vec<u64>,
     ways: usize,
+    len: usize,
     tick: u64,
 }
 
-impl<K: Copy + Eq + Debug, V> SetAssoc<K, V> {
+/// Set indices whose bit is on in `bitmap`, in increasing order.
+fn sets_of(bitmap: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    bitmap.iter().enumerate().flat_map(|(w, &bits)| {
+        std::iter::successors(Some(bits), |&b| Some(b & b.wrapping_sub(1)))
+            .take_while(|&b| b != 0)
+            .map(move |b| w * 64 + b.trailing_zeros() as usize)
+    })
+}
+
+impl<K: Copy + Eq + Debug + Default, V: Default> SetAssoc<K, V> {
     /// An empty array with `sets` sets of `ways` ways.
     ///
     /// # Panics
     ///
-    /// Panics if `sets` or `ways` is zero.
+    /// Panics if `sets` or `ways` is zero or does not fit in a `u32`.
     pub fn new(sets: usize, ways: usize) -> Self {
         assert!(sets > 0 && ways > 0, "cache must have at least one set and way");
-        SetAssoc { sets: (0..sets).map(|_| Vec::with_capacity(ways)).collect(), ways, tick: 0 }
+        assert!(sets <= u32::MAX as usize && ways <= u32::MAX as usize, "geometry too large");
+        SetAssoc {
+            slots: Vec::new(),
+            block: vec![0; sets],
+            fill: vec![0; sets],
+            allocated: vec![0; sets.div_ceil(64)],
+            ways,
+            len: 0,
+            tick: 0,
+        }
     }
 
     /// Number of sets.
     pub fn sets(&self) -> usize {
-        self.sets.len()
+        self.fill.len()
     }
 
     /// Ways per set.
@@ -67,17 +103,32 @@ impl<K: Copy + Eq + Debug, V> SetAssoc<K, V> {
         self.tick
     }
 
+    /// Slot range of the resident entries of `set`.
+    fn range(&self, set: usize) -> Range<usize> {
+        let base = self.block[set] as usize * self.ways;
+        base..base + self.fill[set] as usize
+    }
+
+    fn entries(&self, set: usize) -> &[Entry<K, V>] {
+        &self.slots[self.range(set)]
+    }
+
+    fn entries_mut(&mut self, set: usize) -> &mut [Entry<K, V>] {
+        let r = self.range(set);
+        &mut self.slots[r]
+    }
+
     /// Looks up `key` in `set`, refreshing its recency on hit.
     pub fn probe(&mut self, set: usize, key: K) -> Option<&mut V> {
         let stamp = self.bump();
-        let entry = self.sets[set].iter_mut().find(|e| e.key == key)?;
+        let entry = self.entries_mut(set).iter_mut().find(|e| e.key == key)?;
         entry.stamp = stamp;
         Some(&mut entry.value)
     }
 
     /// Looks up `key` without updating recency (for monitoring / asserts).
     pub fn peek(&self, set: usize, key: K) -> Option<&V> {
-        self.sets[set].iter().find(|e| e.key == key).map(|e| &e.value)
+        self.entries(set).iter().find(|e| e.key == key).map(|e| &e.value)
     }
 
     /// Finds the first entry of `set` matching `pred` in a single scan,
@@ -88,7 +139,8 @@ impl<K: Copy + Eq + Debug, V> SetAssoc<K, V> {
     /// [`probe`](SetAssoc::probe) of the found key, but walks the set
     /// once instead of twice.
     pub fn touch_where(&mut self, set: usize, mut pred: impl FnMut(&K) -> bool) -> Option<K> {
-        let entry = self.sets[set].iter_mut().find(|e| pred(&e.key))?;
+        let r = self.range(set);
+        let entry = self.slots[r].iter_mut().find(|e| pred(&e.key))?;
         self.tick += 1;
         entry.stamp = self.tick;
         Some(entry.key)
@@ -113,15 +165,25 @@ impl<K: Copy + Eq + Debug, V> SetAssoc<K, V> {
         mut may_evict: impl FnMut(&K, &V) -> bool,
     ) -> Inserted<K, V> {
         assert!(
-            self.sets[set].iter().all(|e| e.key != key),
+            self.entries(set).iter().all(|e| e.key != key),
             "duplicate insert of key {key:?} into set {set}"
         );
         let stamp = self.bump();
-        if self.sets[set].len() < self.ways {
-            self.sets[set].push(Entry { key, value, stamp });
+        let fill = self.fill[set] as usize;
+        if fill < self.ways {
+            if self.allocated[set / 64] & (1 << (set % 64)) == 0 {
+                self.allocated[set / 64] |= 1 << (set % 64);
+                self.block[set] = (self.slots.len() / self.ways) as u32;
+                self.slots.resize_with(self.slots.len() + self.ways, Entry::default);
+            }
+            let slot = self.block[set] as usize * self.ways + fill;
+            self.slots[slot] = Entry { key, value, stamp };
+            self.fill[set] += 1;
+            self.len += 1;
             return Inserted::Placed;
         }
-        let victim = self.sets[set]
+        let victim = self
+            .entries(set)
             .iter()
             .enumerate()
             .filter(|(_, e)| may_evict(&e.key, &e.value))
@@ -129,7 +191,8 @@ impl<K: Copy + Eq + Debug, V> SetAssoc<K, V> {
             .map(|(i, _)| i);
         match victim {
             Some(i) => {
-                let old = std::mem::replace(&mut self.sets[set][i], Entry { key, value, stamp });
+                let old =
+                    std::mem::replace(&mut self.entries_mut(set)[i], Entry { key, value, stamp });
                 Inserted::Evicted(old.key, old.value)
             }
             None => Inserted::SetFull,
@@ -141,42 +204,77 @@ impl<K: Copy + Eq + Debug, V> SetAssoc<K, V> {
         self.insert_with(set, key, value, |_, _| true)
     }
 
-    /// Removes and returns the entry for `key`, if resident.
+    /// Removes and returns the entry for `key`, if resident. The set's
+    /// last entry takes the vacated slot (`Vec::swap_remove` order).
     pub fn remove(&mut self, set: usize, key: K) -> Option<V> {
-        let i = self.sets[set].iter().position(|e| e.key == key)?;
-        Some(self.sets[set].swap_remove(i).value)
+        let entries = self.entries_mut(set);
+        let i = entries.iter().position(|e| e.key == key)?;
+        let last = entries.len() - 1;
+        entries.swap(i, last);
+        let old = std::mem::take(&mut entries[last]);
+        self.fill[set] -= 1;
+        self.len -= 1;
+        Some(old.value)
     }
 
-    /// Drops every entry for which the predicate returns false.
+    /// Drops every entry for which the predicate returns false, keeping
+    /// the survivors of each set in their order. Sets are visited in
+    /// increasing order, each set's entries in slot order.
     pub fn retain(&mut self, mut keep: impl FnMut(&K, &mut V) -> bool) {
-        for set in &mut self.sets {
-            set.retain_mut(|e| keep(&e.key, &mut e.value));
+        for set in sets_of(&self.allocated) {
+            let r = self.range(set);
+            let fill = r.len();
+            let entries = &mut self.slots[r];
+            let mut kept = 0;
+            for i in 0..fill {
+                let e = &mut entries[i];
+                if keep(&e.key, &mut e.value) {
+                    entries.swap(kept, i);
+                    kept += 1;
+                }
+            }
+            entries[kept..].fill_with(Entry::default);
+            self.fill[set] = kept as u32;
+            self.len -= fill - kept;
         }
     }
 
-    /// Iterates over all resident `(set, key, value)` triples.
+    /// Visits every resident entry in place, in [`iter`](SetAssoc::iter)
+    /// order, without touching recency or residency.
+    pub fn for_each_mut(&mut self, mut f: impl FnMut(&K, &mut V)) {
+        for set in sets_of(&self.allocated) {
+            let r = self.range(set);
+            for e in &mut self.slots[r] {
+                f(&e.key, &mut e.value);
+            }
+        }
+    }
+
+    /// Iterates over all resident `(set, key, value)` triples, set by set
+    /// in increasing set order.
     pub fn iter(&self) -> impl Iterator<Item = (usize, &K, &V)> + '_ {
-        self.sets.iter().enumerate().flat_map(|(s, v)| v.iter().map(move |e| (s, &e.key, &e.value)))
+        sets_of(&self.allocated)
+            .flat_map(|s| self.entries(s).iter().map(move |e| (s, &e.key, &e.value)))
     }
 
     /// Mutable iteration over all resident entries of one set.
     pub fn set_iter_mut(&mut self, set: usize) -> impl Iterator<Item = (&K, &mut V)> + '_ {
-        self.sets[set].iter_mut().map(|e| (&e.key, &mut e.value))
+        self.entries_mut(set).iter_mut().map(|e| (&e.key, &mut e.value))
     }
 
     /// Number of resident entries across all sets.
     pub fn len(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
+        self.len
     }
 
     /// True if nothing is resident.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.len == 0
     }
 
     /// Number of resident entries in one set.
     pub fn set_len(&self, set: usize) -> usize {
-        self.sets[set].len()
+        self.fill[set] as usize
     }
 }
 

@@ -17,10 +17,15 @@ use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use tls_trace::{Addr, Pc};
 
+/// Tag bit marking an occupied exposed-load slot (above the 32-bit PC).
+const VALID: u64 = 1 << 32;
+
 /// One CPU's direct-mapped exposed-load table.
 #[derive(Debug, Clone)]
 pub struct ExposedLoadTable {
-    entries: Vec<Option<(u64, Pc)>>,
+    /// `(line, VALID | pc)` per slot; all-zero is an empty slot, so a new
+    /// table is one zeroed allocation.
+    entries: Vec<(u64, u64)>,
     mask: u64,
     line_shift: u32,
 }
@@ -34,7 +39,7 @@ impl ExposedLoadTable {
     /// Panics unless `entries` is a nonzero power of two.
     pub fn new(entries: usize, line_shift: u32) -> Self {
         assert!(entries > 0 && entries.is_power_of_two(), "table size must be a power of two");
-        ExposedLoadTable { entries: vec![None; entries], mask: entries as u64 - 1, line_shift }
+        ExposedLoadTable { entries: vec![(0, 0); entries], mask: entries as u64 - 1, line_shift }
     }
 
     fn index(&self, addr: Addr) -> usize {
@@ -45,7 +50,7 @@ impl ExposedLoadTable {
     pub fn record(&mut self, addr: Addr, pc: Pc) {
         let line = addr.0 >> self.line_shift << self.line_shift;
         let i = self.index(addr);
-        self.entries[i] = Some((line, pc));
+        self.entries[i] = (line, VALID | pc.0 as u64);
     }
 
     /// Looks up the PC of the exposed load covering `addr`, if the entry
@@ -53,14 +58,14 @@ impl ExposedLoadTable {
     pub fn lookup(&self, addr: Addr) -> Option<Pc> {
         let line = addr.0 >> self.line_shift << self.line_shift;
         match self.entries[self.index(addr)] {
-            Some((l, pc)) if l == line => Some(pc),
+            (l, tag) if tag & VALID != 0 && l == line => Some(Pc(tag as u32)),
             _ => None,
         }
     }
 
     /// Forgets everything (used on epoch boundaries).
     pub fn clear(&mut self) {
-        self.entries.fill(None);
+        self.entries.fill((0, 0));
     }
 }
 
@@ -147,6 +152,20 @@ mod tests {
         t.record(Addr(0x1000), Pc::new(1, 1));
         assert_eq!(t.lookup(Addr(0x1008)), Some(Pc::new(1, 1))); // same line
         assert_eq!(t.lookup(Addr(0x2000)), None);
+    }
+
+    #[test]
+    fn a_fresh_table_holds_nothing_even_for_line_0_and_pc_0() {
+        let mut t = ExposedLoadTable::new(4, 5);
+        for addr in [0x0, 0x1f, 32, 96, 128] {
+            assert_eq!(t.lookup(Addr(addr)), None, "address {addr:#x}");
+        }
+        // Line 0 with PC 0 is an ordinary entry once recorded.
+        t.record(Addr(0x4), Pc(0));
+        assert_eq!(t.lookup(Addr(0x0)), Some(Pc(0)));
+        assert_eq!(t.lookup(Addr(128)), None); // same slot, other line
+        t.clear();
+        assert_eq!(t.lookup(Addr(0x0)), None);
     }
 
     #[test]

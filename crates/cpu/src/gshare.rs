@@ -2,6 +2,9 @@
 
 use tls_trace::Pc;
 
+/// The initial counter value, and the lowest that predicts taken.
+const WEAKLY_TAKEN: u8 = 2;
+
 /// A gshare predictor: a table of 2-bit saturating counters indexed by the
 /// branch PC XORed with the global branch-history register.
 ///
@@ -17,6 +20,8 @@ use tls_trace::Pc;
 /// ```
 #[derive(Debug, Clone)]
 pub struct Gshare {
+    /// Each 2-bit counter XOR 2, so the all-zero table is the all
+    /// "weakly taken" initial state and allocates already zeroed.
     counters: Vec<u8>,
     mask: u32,
     history: u32,
@@ -38,9 +43,10 @@ impl Gshare {
         assert!(entries > 0 && entries.is_power_of_two(), "gshare table must be a power of two");
         assert!(history_bits <= 31, "history too long");
         Gshare {
-            // Initialize to weakly taken: backward loop branches predict
-            // well from the start, as real tables warmed by prior code do.
-            counters: vec![2; entries],
+            // Initialize to weakly taken (stored as 0): backward loop
+            // branches predict well from the start, as real tables warmed
+            // by prior code do.
+            counters: vec![0; entries],
             mask: entries as u32 - 1,
             history: 0,
             history_mask: (1u32 << history_bits) - 1,
@@ -59,17 +65,15 @@ impl Gshare {
     /// was correct.
     pub fn predict_and_update(&mut self, pc: Pc, taken: bool) -> bool {
         let i = self.index(pc);
-        let predicted_taken = self.counters[i] >= 2;
+        let counter = self.counters[i] ^ WEAKLY_TAKEN;
+        let predicted_taken = counter >= WEAKLY_TAKEN;
         let correct = predicted_taken == taken;
         self.lookups += 1;
         if !correct {
             self.mispredicts += 1;
         }
-        if taken {
-            self.counters[i] = (self.counters[i] + 1).min(3);
-        } else {
-            self.counters[i] = self.counters[i].saturating_sub(1);
-        }
+        let counter = if taken { (counter + 1).min(3) } else { counter.saturating_sub(1) };
+        self.counters[i] = counter ^ WEAKLY_TAKEN;
         self.history = ((self.history << 1) | taken as u32) & self.history_mask;
         correct
     }
@@ -136,6 +140,26 @@ mod tests {
         p.predict_and_update(pc, true);
         assert_eq!(p.lookups(), 2);
         assert!(p.mispredict_ratio() <= 0.5);
+    }
+
+    /// Predictions of a fresh predictor over a fixed mixed sequence, all
+    /// pinned: bit `k` of each word is the direction predicted at step `k`.
+    #[test]
+    fn fresh_table_predicts_and_trains_as_pinned() {
+        let mut p = Gshare::new(16, 3); // 64 counters: history and aliasing both matter
+        let mut x = 0x2545_f491_u32;
+        let mut words = [0u64; 3];
+        for (step, word) in (0..192).map(|k| (k % 64, k / 64)) {
+            x ^= x << 13;
+            x ^= x >> 17;
+            x ^= x << 5;
+            let pc = Pc::new((x >> 28) as u16 & 1, (x >> 8) as u16 & 0x3f);
+            let taken = x & 0b11 == 0; // biased 3:1 not taken
+            let correct = p.predict_and_update(pc, taken);
+            words[word] |= ((correct == taken) as u64) << step;
+        }
+        assert_eq!(words, [0x2713_fcee_6767_ffff, 0x4326_4862_2972_143a, 0x8100_8098_9681_a661]);
+        assert_eq!((p.lookups(), p.mispredicts()), (192, 99));
     }
 
     #[test]
